@@ -386,37 +386,6 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
 
 namespace {
 
-/// Resolves MarkPublish store addresses back to rows and records each local
-/// row's first publish cycle. Observation only — attached via MultiSink next
-/// to any caller-supplied sink.
-class PublishCaptureSink final : public trace::TraceSink {
- public:
-  PublishCaptureSink(sim::DevicePtr gv_base, Idx row_begin, Idx row_end,
-                     std::vector<std::uint64_t>* cycles)
-      : gv_base_(gv_base),
-        row_begin_(row_begin),
-        row_end_(row_end),
-        cycles_(cycles) {}
-
-  void OnPublish(const trace::PublishInfo& info) override {
-    if (info.addr < gv_base_) return;
-    const std::uint64_t row = (info.addr - gv_base_) / 4;
-    if (row < static_cast<std::uint64_t>(row_begin_) ||
-        row >= static_cast<std::uint64_t>(row_end_)) {
-      return;
-    }
-    std::uint64_t& slot =
-        (*cycles_)[row - static_cast<std::uint64_t>(row_begin_)];
-    if (slot == UINT64_MAX) slot = info.cycle;
-  }
-
- private:
-  sim::DevicePtr gv_base_;
-  Idx row_begin_;
-  Idx row_end_;
-  std::vector<std::uint64_t>* cycles_;
-};
-
 const sim::Kernel& CachedRangeKernel(DeviceAlgorithm algorithm) {
   if (algorithm == DeviceAlgorithm::kCapelliniTwoPhase) {
     static const sim::Kernel kernel = BuildCapelliniTwoPhaseRangeKernel();
@@ -478,15 +447,16 @@ Expected<RangeSolveResult> SolveRangeOnDevice(
   }
   machine.set_external_stores(std::move(stores));
 
-  RangeSolveResult result;
-  result.publish_cycles.assign(
-      static_cast<std::size_t>(row_end - row_begin), UINT64_MAX);
-  PublishCaptureSink capture(dev.get_value, row_begin, row_end,
-                             &result.publish_cycles);
-  trace::MultiSink multi;
-  multi.Add(&capture);
-  multi.Add(options_in.trace_sink);
-  machine.set_trace_sink(&multi);
+  // Each local row's first flag publish, recorded by the machine itself: a
+  // trace sink here would switch off run fusion and the no-progress
+  // fast-forward for every fleet launch.
+  sim::PublishRecord published;
+  published.base =
+      dev.get_value + 4ull * static_cast<std::uint64_t>(row_begin);
+  published.first_cycle.assign(static_cast<std::size_t>(row_end - row_begin),
+                               UINT64_MAX);
+  machine.set_publish_record(&published);
+  machine.set_trace_sink(options_in.trace_sink);
   machine.set_fault_injector(options_in.fault_injector);
 
   const int threads_per_block =
@@ -496,17 +466,20 @@ Expected<RangeSolveResult> SolveRangeOnDevice(
                               {.num_threads = row_end - row_begin,
                                .threads_per_block = threads_per_block},
                               params);
+  machine.set_publish_record(nullptr);
   machine.set_trace_sink(nullptr);
   machine.set_fault_injector(nullptr);
   if (!stats.ok()) return stats.status();
 
+  RangeSolveResult result;
+  result.publish_cycles = std::move(published.first_cycle);
   result.stats = *stats;
   result.exec_ms = machine.config().CyclesToMs(result.stats.cycles);
   result.x.resize(static_cast<std::size_t>(m));
   memory.CopyFromDevice(std::span<Val>(result.x), dev.x);
-  // A dropped publish still fires OnPublish (the bandwidth was spent, the
-  // value wasn't), so the flag array is the ground truth: rows whose flag
-  // never landed stay UINT64_MAX regardless of the captured cycle.
+  // A dropped publish is still recorded (the bandwidth was spent, the value
+  // wasn't), so the flag array is the ground truth: rows whose flag never
+  // landed stay UINT64_MAX regardless of the recorded cycle.
   std::vector<std::int32_t> flags(
       static_cast<std::size_t>(row_end - row_begin));
   memory.CopyFromDevice(

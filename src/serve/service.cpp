@@ -210,13 +210,17 @@ std::vector<SolveService::Request> SolveService::PopGroupLocked() {
   // Copy the match keys: push_back below may reallocate the vector.
   const MatrixHandle handle = group.front().handle;
   const Algorithm algorithm = group.front().algorithm;
+  // The epoch the leader pinned at Submit: a request queued on the other
+  // side of an ApplyDelta must not be solved on the leader's matrix.
+  const MatrixRegistry::Entry* const entry = group.front().entry.get();
   const Clock::time_point leader_deadline = group.front().deadline;
   if (options_.max_batch > 1 && HasMrhsForm(algorithm)) {
     for (auto it = queue_.begin();
          it != queue_.end() &&
          group.size() < static_cast<std::size_t>(options_.max_batch);) {
-      const bool key_match =
-          it->handle == handle && it->algorithm == algorithm;
+      const bool key_match = it->handle == handle &&
+                             it->algorithm == algorithm &&
+                             it->entry.get() == entry;
       // Deadline compatibility: joining the leader's launch must not pull a
       // far-future request ahead of tighter work elsewhere in the queue.
       const bool deadline_compatible =

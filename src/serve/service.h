@@ -16,8 +16,9 @@
 //       sweep);
 //     * workers (support/thread_pool) pop the queue; the COALESCING step
 //       scans the queue in scheduling order and groups up to `max_batch`
-//       deadline-compatible requests (same handle + algorithm, deadlines
-//       within `coalesce_window_ms` of the group leader's) into ONE
+//       deadline-compatible requests (same handle + algorithm + pinned
+//       epoch, deadlines within `coalesce_window_ms` of the group
+//       leader's) into ONE
 //       SolveMrhsOnDevice launch — the structure walk is paid once for
 //       the whole group (Liu et al.'s mrhs result, applied as a scheduler
 //       policy). Algorithms without an mrhs form fall back to per-request

@@ -23,6 +23,36 @@ constexpr std::uint8_t kPcInSpin = 1;
 constexpr std::uint8_t kPcSpinHead = 2;
 constexpr std::uint8_t kPcPublish = 4;
 
+// Register file an instruction writes through operand `a`: 1 = integer,
+// 2 = float, 0 = none (stores and control flow).
+int WrittenFile(Op op) {
+  switch (op) {
+    case Op::kNop:
+    case Op::kSt4:
+    case Op::kSt8I:
+    case Op::kSt8F:
+    case Op::kBrnz:
+    case Op::kBrz:
+    case Op::kJmp:
+    case Op::kFence:
+    case Op::kExit:
+      return 0;
+    case Op::kLd8F:
+    case Op::kAtomAddF8:
+    case Op::kFMovI:
+    case Op::kFMov:
+    case Op::kFAdd:
+    case Op::kFSub:
+    case Op::kFMul:
+    case Op::kFDiv:
+    case Op::kFFma:
+    case Op::kShflDownF:
+      return 2;
+    default:
+      return 1;
+  }
+}
+
 // Applies `fn(lane)` to every set lane. The full-mask case — the steady state
 // of converged warps, spin-polling warps above all — takes a straight-line
 // 0..31 loop instead of the bit-scan, which is the interpreter's hottest
@@ -147,12 +177,14 @@ std::size_t Machine::DedupSectors(const std::uint64_t* addresses,
 
 Machine::MemTxn Machine::AccountSectors(const std::uint64_t* sectors,
                                         std::size_t num_sectors,
-                                        bool is_atomic) {
+                                        bool is_atomic, bool all_touched) {
   const std::uint64_t sector_bytes =
       static_cast<std::uint64_t>(config_.sector_bytes);
   std::uint64_t misses = 0;
-  for (std::size_t k = 0; k < num_sectors; ++k) {
-    if (!TouchSector(sectors[k])) ++misses;
+  if (!all_touched) {
+    for (std::size_t k = 0; k < num_sectors; ++k) {
+      if (!TouchSector(sectors[k])) ++misses;
+    }
   }
   stats_.dram_transactions += num_sectors;
   stats_.dram_bytes += misses * sector_bytes;
@@ -260,6 +292,18 @@ void Machine::FinishWarp(int warp_index, int sm_index) {
   --alive_warps_;
   sm_slots_freed_ = true;
   last_progress_cycle_ = cycle_;
+}
+
+void Machine::RecordPublishes(const std::uint64_t* addresses,
+                              std::size_t count) {
+  std::vector<std::uint64_t>& first = publish_->first_cycle;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (addresses[i] < publish_->base) continue;
+    const std::uint64_t index = (addresses[i] - publish_->base) / 4;
+    if (index < first.size() && first[index] == UINT64_MAX) {
+      first[index] = cycle_;
+    }
+  }
 }
 
 void Machine::ExecuteInstruction(int warp_index, int sm_index) {
@@ -528,6 +572,9 @@ void Machine::ExecuteInstruction(int warp_index, int sm_index) {
       // Stores are fire-and-forget: account bandwidth, do not stall.
       (void)AccountMemory(addresses, count, MemoryWidth(instr.op));
       last_progress_cycle_ = cycle_;
+      if (publish_ && (pc_flags & kPcPublish) != 0) {
+        RecordPublishes(addresses, count);
+      }
       if (trace_ && (pc_flags & kPcPublish) != 0) {
         trace::PublishInfo publish;
         publish.cycle = cycle_;
@@ -976,12 +1023,15 @@ struct Interp {
       }
     });
     // Spin-poll fast path — same cache, same accounting as the scalar core.
+    // A hit's sectors were all touched when the cache was filled, so the
+    // L2 bitmap walk is skipped (the scalar oracle keeps it, which is how
+    // the equivalence suite checks that the misses are provably 0).
     if ((d.flags & kPcInSpin) != 0 && w.poll_pc == w.pc &&
         w.poll_mask == active &&
         w.poll_count == static_cast<std::uint8_t>(count) &&
         std::equal(addresses, addresses + count, w.poll_addresses.begin())) {
       mem = m.AccountSectors(w.poll_sectors.data(), w.poll_num_sectors,
-                             /*is_atomic=*/false);
+                             /*is_atomic=*/false, /*all_touched=*/true);
     } else {
       std::uint64_t sectors[64];
       const std::size_t num_sectors =
@@ -1029,6 +1079,9 @@ struct Interp {
     // Stores are fire-and-forget: account bandwidth, do not stall.
     (void)m.AccountMemory(addresses, count, MemoryWidth(OP));
     m.last_progress_cycle_ = m.cycle_;
+    if (m.publish_ != nullptr && (d.flags & kPcPublish) != 0) {
+      m.RecordPublishes(addresses, count);
+    }
     if (m.trace_ != nullptr && (d.flags & kPcPublish) != 0) {
       const int warp_index = static_cast<int>(&w - m.warp_pool_.data());
       trace::PublishInfo publish;
@@ -1348,6 +1401,275 @@ void Machine::BuildDecoded(const Kernel& kernel, std::uint64_t fingerprint,
   }
   const std::vector<std::uint16_t> runs = StraightLineRuns(kernel.code);
   for (std::size_t pc = 0; pc < n; ++pc) out.code[pc].run = runs[pc];
+  out.written_int = 0;
+  out.written_flt = 0;
+  for (const Instr& instr : kernel.code) {
+    const int file = WrittenFile(instr.op);
+    if (file == 1) out.written_int |= 1u << instr.a;
+    if (file == 2) out.written_flt |= 1u << instr.a;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// No-progress fast-forward.
+//
+// A launch that has made no progress (no store, atomic, warp finish, block
+// dispatch or arrival) has frozen memory, so everything that decides its
+// future is the Snapshot state: registers and control state of the alive
+// warps, the issue queues, the wake entries and the L2/DRAM busy-until
+// values relative to cycle_ (plus the L2 bitmap, unchanged while no sector
+// is touched for the first time). If that state at cycle c2 equals the state
+// at an earlier loop top c1, the launch repeats the stretch [c1, c2) with
+// period P = c2 - c1 — every step is a function of the state alone, with one
+// exception: the busy-until doubles round. Inside one binade [2^b, 2^(b+1))
+// (b < 52) every integer is a multiple of the ulp with an even quotient, so
+// adding a shift S to a busy-until value and to every later sum rounds to
+// exactly the shifted result, and floor/max commute with the shift; the jump
+// therefore never leaves the anchor's binade. The counters advance by k times
+// the per-period delta. The jump stops at least one period short of every
+// event the period cannot see: the watchdog trip, max_cycles, the next
+// external store and the binade's end, after which the period is detected
+// again. The dump and counters are those of the cycle-by-cycle run.
+// ---------------------------------------------------------------------------
+namespace {
+
+// No-progress cycles before the probe starts looking for a period: far below
+// any real watchdog, and past the tail of the last progress's memory traffic.
+constexpr std::uint64_t kFastForwardAfter = 4096;
+// Brent-style anchor windows (in cycles): re-anchor and double when no match
+// turned up within the window; give up until progress past the cap.
+constexpr std::uint64_t kFirstWindow = 64;
+constexpr std::uint64_t kMaxWindow = 1u << 16;
+
+// A busy-until value relative to `cycle`, clamped at 0: an idle queue's
+// exact value never matters again, since cycle_ only grows.
+double BusyOffset(double busy_until, std::uint64_t cycle) {
+  const double now = static_cast<double>(cycle);
+  return busy_until > now ? busy_until - now : 0.0;
+}
+
+}  // namespace
+
+template <typename Emit>
+bool Machine::VisitControl(Emit&& emit) const {
+  for (const Warp& warp : warp_pool_) {
+    if (!warp.alive) continue;
+    if (!emit(warp.pc) || !emit(warp.skip) || !emit(warp.active) ||
+        !emit(static_cast<std::int64_t>(warp.stack.size()))) {
+      return false;
+    }
+    for (const Frame& frame : warp.stack) {
+      if (!emit(frame.reconv_pc) || !emit(frame.other_pc) ||
+          !emit(frame.other_mask)) {
+        return false;
+      }
+    }
+  }
+  for (const Sm& sm : sms_) {
+    const std::uint32_t size = sm.ready.size();
+    if (!emit(size)) return false;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      if (!emit(sm.ready[i])) return false;
+    }
+  }
+  return true;
+}
+
+void Machine::CaptureWake(std::vector<WakeEntry>& wake) const {
+  // At a loop top every wheel entry lies in [cycle_, cycle_ + kWakeWheel).
+  wake.clear();
+  for (std::size_t word = 0; word < wake_wheel_bits_.size(); ++word) {
+    std::uint64_t bits = wake_wheel_bits_[word];
+    while (bits != 0) {
+      const std::uint64_t b =
+          (static_cast<std::uint64_t>(word) << 6) +
+          static_cast<std::uint64_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      const std::uint64_t offset = (b - cycle_) & (kWakeWheel - 1);
+      for (const auto& [warp, sm] : wake_wheel_[b]) {
+        wake.emplace_back(offset, warp, sm);
+      }
+    }
+  }
+  for (auto far = wake_far_; !far.empty(); far.pop()) {
+    const auto& [ready_at, warp, sm] = far.top();
+    wake.emplace_back(ready_at - cycle_, warp, sm);
+  }
+  std::sort(wake.begin(), wake.end());
+}
+
+void Machine::CaptureAnchor(bool with_regs) {
+  Snapshot& s = ff_anchor_;
+  s.with_regs = with_regs;
+  s.cycle = cycle_;
+  s.last_progress = last_progress_cycle_;
+  s.dram_bytes = stats_.dram_bytes;
+  s.l2_offset = BusyOffset(l2_busy_until_, cycle_);
+  s.dram_offset = BusyOffset(dram_busy_until_, cycle_);
+  s.slots_freed = sm_slots_freed_;
+  s.stats = stats_;
+  s.ready_mask = ready_sm_mask_;
+  s.control.clear();
+  VisitControl([&](std::int64_t v) {
+    s.control.push_back(v);
+    return true;
+  });
+  CaptureWake(s.wake);
+  s.regs.clear();
+  if (with_regs) {
+    std::size_t values = 0;
+    VisitLiveRegs([&](std::uint64_t) {
+      ++values;
+      return true;
+    });
+    s.regs.reserve(values);
+    VisitLiveRegs([&](std::uint64_t bits) {
+      s.regs.push_back(bits);
+      return true;
+    });
+  }
+  ff_anchored_ = true;
+}
+
+template <typename Emit>
+bool Machine::VisitLiveRegs(Emit&& emit) const {
+  // A register row no instruction of the kernel writes keeps its launch-
+  // start value, and a lane in neither the active mask nor a parked frame
+  // has exited for good: only the live lanes of written rows can change.
+  for (const Warp& warp : warp_pool_) {
+    if (!warp.alive) continue;
+    std::uint32_t live = warp.active;
+    for (const Frame& frame : warp.stack) live |= frame.other_mask;
+    const auto rows = [&](const auto* file, std::uint32_t written) {
+      for (; written != 0; written &= written - 1) {
+        const auto* row = file + 32 * std::countr_zero(written);
+        for (std::uint32_t m = live; m != 0; m &= m - 1) {
+          if (!emit(std::bit_cast<std::uint64_t>(row[std::countr_zero(m)]))) {
+            return false;
+          }
+        }
+      }
+      return true;
+    };
+    if (!rows(warp.r.data(), decoded_->written_int) ||
+        !rows(warp.f.data(), decoded_->written_flt)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool Machine::MatchesAnchor() {
+  const Snapshot& a = ff_anchor_;
+  // Cheapest tests first, then the control state in place: most loop tops
+  // of a spin differ in a busy offset or in the first warp's pc.
+  if (last_progress_cycle_ != a.last_progress ||
+      stats_.dram_bytes != a.dram_bytes || sm_slots_freed_ != a.slots_freed ||
+      BusyOffset(l2_busy_until_, cycle_) != a.l2_offset ||
+      BusyOffset(dram_busy_until_, cycle_) != a.dram_offset ||
+      wake_wheel_count_ + wake_far_.size() != a.wake.size() ||
+      ready_sm_mask_ != a.ready_mask) {
+    return false;
+  }
+  std::size_t at = 0;
+  if (!VisitControl([&](std::int64_t v) {
+        return at < a.control.size() && a.control[at++] == v;
+      }) ||
+      at != a.control.size()) {
+    return false;
+  }
+  CaptureWake(ff_wake_);
+  if (ff_wake_ != a.wake) return false;
+  if (!a.with_regs) return true;
+  // Registers bit for bit (the alive set is the anchor's: no warp finished).
+  std::size_t reg = 0;
+  return VisitLiveRegs([&](std::uint64_t bits) {
+           return reg < a.regs.size() && a.regs[reg++] == bits;
+         }) &&
+         reg == a.regs.size();
+}
+
+bool Machine::ProbePeriod(std::uint64_t limit) {
+  if (ff_progress_ != last_progress_cycle_) {
+    ff_progress_ = last_progress_cycle_;
+    ff_anchored_ = false;
+    ff_window_ = kFirstWindow;
+    ff_resume_ = 0;
+  }
+  if (cycle_ < ff_resume_) return false;
+  if (!ff_anchored_) {
+    CaptureAnchor(/*with_regs=*/false);
+    return false;
+  }
+  const std::uint64_t period = cycle_ - ff_anchor_.cycle;
+  if (MatchesAnchor()) {
+    if (ff_anchor_.with_regs) return FastForward(period, limit);
+    // The state without registers repeats. Only now copy the registers (a
+    // working launch rarely gets this far, so it never pays for the copy),
+    // and confirm the whole state one period on.
+    ff_period_ = period;
+    CaptureAnchor(/*with_regs=*/true);
+    return false;
+  }
+  const bool give_up = ff_anchor_.with_regs ? period >= ff_period_
+                                            : period >= kMaxWindow;
+  if (give_up) {
+    ff_anchored_ = false;
+    ff_resume_ = std::numeric_limits<std::uint64_t>::max();
+  } else if (!ff_anchor_.with_regs && period >= ff_window_) {
+    ff_window_ *= 2;
+    CaptureAnchor(/*with_regs=*/false);
+  }
+  return false;
+}
+
+bool Machine::FastForward(std::uint64_t period, std::uint64_t limit) {
+  ff_anchored_ = false;
+  ff_window_ = kFirstWindow;
+  const int binade = std::bit_width(ff_anchor_.cycle) - 1;
+  if (binade >= 52) {
+    ff_resume_ = std::numeric_limits<std::uint64_t>::max();
+    return false;
+  }
+  // Every cycle and busy-until value up to the landing point stays below the
+  // anchor's binade end: busy-until values never exceed cycle_ + reach.
+  const std::uint64_t binade_end = 1ull << (binade + 1);
+  const std::uint64_t reach =
+      static_cast<std::uint64_t>(std::ceil(
+          std::max(BusyOffset(l2_busy_until_, cycle_),
+                   BusyOffset(dram_busy_until_, cycle_)))) +
+      1;
+  const std::uint64_t binade_limit =
+      binade_end > reach ? binade_end - reach : 0;
+  const std::uint64_t bound = std::min(limit, binade_limit);
+  // After the landing point comes the next binade's period (resume at its
+  // start) or nothing to gain before the next progress.
+  ff_resume_ = binade_limit < limit
+                   ? binade_end
+                   : std::numeric_limits<std::uint64_t>::max();
+  // Land on cycle_ + k * period with at least one period left before bound.
+  if (bound < cycle_ + 2 * period) return false;
+  const std::uint64_t k = (bound - cycle_) / period - 1;
+  const std::uint64_t shift = k * period;
+
+  const double now = static_cast<double>(cycle_);
+  if (l2_busy_until_ > now) l2_busy_until_ += static_cast<double>(shift);
+  if (dram_busy_until_ > now) dram_busy_until_ += static_cast<double>(shift);
+  cycle_ += shift;
+  // ff_wake_ holds the entries relative to the pre-jump cycle.
+  WakeReset();
+  for (const auto& [offset, warp, sm] : ff_wake_) {
+    WakePush(cycle_ + offset, warp, sm);
+  }
+  const LaunchStats& before = ff_anchor_.stats;
+  for (auto field : {&LaunchStats::instructions, &LaunchStats::lane_instructions,
+                     &LaunchStats::dram_bytes, &LaunchStats::dram_transactions,
+                     &LaunchStats::issue_slots, &LaunchStats::issue_used,
+                     &LaunchStats::stall_slots}) {
+    stats_.*field += k * (stats_.*field - before.*field);
+  }
+  ff_skipped_ += shift;
+  return true;
 }
 
 Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
@@ -1413,6 +1735,17 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
   // (interp_equivalence_test, bench_interp's identity gate).
   const bool use_threaded =
       !scalar_core_for_test_.load(std::memory_order_relaxed);
+  // The no-progress fast-forward stands down where the spin itself is the
+  // observable: per-issue hooks (a sink, CAPELLINI_TRACE), the scalar oracle
+  // (the equivalence suite compares against the exact path), and injected
+  // faults that consume a decision per issue or per load.
+  const bool fast_forward =
+      use_threaded && trace_ == nullptr && !debug_trace_ &&
+      (faults_ == nullptr || (faults_->plan().stuck_warp_rate <= 0.0 &&
+                              faults_->plan().mem_delay_rate <= 0.0));
+  ff_anchored_ = false;
+  ff_progress_ = std::numeric_limits<std::uint64_t>::max();
+  ff_skipped_ = 0;
 
   ++launch_index_;
   if (trace_) {
@@ -1571,6 +1904,17 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
         trace_->OnLaunchEnd(cycle_ + config_.launch_overhead_cycles);
       }
       return DeadlockError(dump);
+    }
+    if (fast_forward && cycle_ - last_progress_cycle_ >= kFastForwardAfter) {
+      const std::uint64_t trip =
+          ext_next_ < ext_.size()
+              ? ext_[ext_next_].cycle
+              : last_progress_cycle_ +
+                    std::min(config_.no_progress_cycles,
+                             std::numeric_limits<std::uint64_t>::max() -
+                                 last_progress_cycle_);
+      // A jump lands on a loop top of the cycle-by-cycle run: re-check it.
+      if (ProbePeriod(std::min(trip, config_.max_cycles))) continue;
     }
 
     // Far-parked warps whose wake time entered the wheel horizon.

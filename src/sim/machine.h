@@ -19,7 +19,10 @@
 //    timing and data never race in the simulation.
 //  * Watchdogs: a cycle limit plus a no-progress detector (no store, atomic,
 //    warp completion or dispatch for N cycles) that converts intra-warp
-//    busy-wait deadlocks into a reportable error.
+//    busy-wait deadlocks into a reportable error. A no-progress phase whose
+//    whole machine state provably repeats is fast-forwarded by whole periods
+//    to just before the trip, so the error is the exact one without the
+//    spin (see Launch and DESIGN.md §4g).
 #pragma once
 
 #include <array>
@@ -63,6 +66,18 @@ struct ExternalStore {
   std::int32_t i32_value = 0;
 };
 
+/// First publish cycle per element of one i32 flag array, filled by the
+/// machine on every MarkPublish-annotated lane store to `[base, base + 4 *
+/// first_cycle.size())` — dropped publishes included, since the store issued
+/// even though its value never landed (read the flags to learn which did).
+/// A plain record instead of a TraceSink, so recording costs neither run
+/// fusion nor the no-progress fast-forward.
+struct PublishRecord {
+  std::uint64_t base = 0;
+  /// UINT64_MAX until the element's first publish; then its launch cycle.
+  std::vector<std::uint64_t> first_cycle;
+};
+
 class Machine {
  public:
   Machine(DeviceConfig config, DeviceMemory* memory);
@@ -81,6 +96,10 @@ class Machine {
   /// are bit-identical to an untouched machine. See sim/fault.h for the
   /// hazards it can inject.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
+
+  /// Attaches a publish record (nullptr = off, the default). Not owned; the
+  /// machine only writes first_cycle entries still at UINT64_MAX.
+  void set_publish_record(PublishRecord* record) { publish_ = record; }
 
   /// Schedules peer-device writes for the NEXT launch only (cleared when that
   /// launch ends). Stores are applied when the simulated clock first reaches
@@ -104,6 +123,11 @@ class Machine {
   /// so the oracle can be flipped around a Solve without plumbing test state
   /// through SolverOptions.
   static void set_scalar_core_for_test(bool scalar);
+
+  /// Simulated cycles the last launch skipped by fast-forwarding a periodic
+  /// no-progress phase (0 when it never engaged). Observation only: the
+  /// launch's result and counters are those of the cycle-by-cycle run.
+  std::uint64_t fast_forwarded_cycles() const { return ff_skipped_; }
 
  private:
   // The threaded core's opcode handlers live in machine.cpp as static
@@ -175,6 +199,11 @@ class Machine {
       --count_;
       return warp;
     }
+    std::uint32_t size() const { return count_; }
+    /// The i-th warp from the front (issue order).
+    int operator[](std::uint32_t i) const {
+      return buffer_[(head_ + i) & mask_];
+    }
 
    private:
     std::vector<std::int32_t> buffer_;
@@ -227,13 +256,20 @@ class Machine {
   static std::size_t DedupSectors(const std::uint64_t* addresses,
                                   std::size_t count, int sector_shift,
                                   std::uint64_t* sectors);
+  // `all_touched` promises every sector is already in the L2 bitmap (a
+  // poll-cache hit: the cache is filled only after its sectors were
+  // touched, it is reset at warp dispatch and the bitmap at launch), so the
+  // TouchSector walk is skipped and every sector counts as a hit.
   MemTxn AccountSectors(const std::uint64_t* sectors, std::size_t num_sectors,
-                        bool is_atomic);
+                        bool is_atomic, bool all_touched = false);
 
   // L2 sector tracking (infinite capacity; see DeviceConfig comment).
   bool TouchSector(std::uint64_t sector);
 
   void FinishWarp(int warp_index, int sm_index);
+
+  // Fills the publish record for one MarkPublish store's lane addresses.
+  void RecordPublishes(const std::uint64_t* addresses, std::size_t count);
 
   std::int64_t& RegI(Warp& warp, int lane, int reg) {
     return warp.r[static_cast<std::size_t>(reg) * 32 +
@@ -303,6 +339,9 @@ class Machine {
   struct DecodedKernel {
     std::uint64_t fingerprint = 0;
     std::vector<DecodedInstr> code;
+    // Bit r set = some instruction writes integer (float) register r.
+    std::uint32_t written_int = 0;
+    std::uint32_t written_flt = 0;
   };
   // Returns the cached decode for `kernel`, building or rebuilding it if the
   // pointer is new or the fingerprint no longer matches.
@@ -399,6 +438,58 @@ class Machine {
   // main loop). ext_next_ is the first not-yet-applied entry.
   std::vector<ExternalStore> ext_;
   std::size_t ext_next_ = 0;
+
+  PublishRecord* publish_ = nullptr;
+
+  // --- No-progress fast-forward (see Launch, DESIGN.md §4g) ---------------
+  // The machine state at one main-loop top, relative to cycle_: everything
+  // the rest of the launch depends on while memory is frozen (no store,
+  // atomic or arrival). Only the anchor is kept; the probe compares the
+  // live state against it in place.
+  struct Snapshot {
+    // Registers are copied only once the rest of the state has repeated.
+    bool with_regs = false;
+    std::uint64_t cycle = 0;
+    std::uint64_t last_progress = 0;
+    // Unchanged between two snapshots <=> no sector was touched for the
+    // first time, i.e. the L2 bitmap did not change.
+    std::uint64_t dram_bytes = 0;
+    double l2_offset = 0.0;    // busy-until minus cycle_, clamped at 0
+    double dram_offset = 0.0;
+    bool slots_freed = false;
+    LaunchStats stats;
+    std::vector<std::uint64_t> ready_mask;
+    std::vector<std::int64_t> control;  // VisitControl's values
+    std::vector<WakeEntry> wake;        // (ready_at - cycle_, warp, sm), sorted
+    std::vector<std::uint64_t> regs;    // VisitLiveRegs' values
+  };
+  // Feeds `emit` the alive warps' pc, skip, active mask and reconvergence
+  // stack, then each SM's ready ring in issue order; stops (false) as soon
+  // as `emit` returns false.
+  template <typename Emit>
+  bool VisitControl(Emit&& emit) const;
+  // Feeds `emit` the bits of every register value that can still change:
+  // the live lanes of the rows the kernel writes, per alive warp; stops
+  // (false) as soon as `emit` does.
+  template <typename Emit>
+  bool VisitLiveRegs(Emit&& emit) const;
+  void CaptureWake(std::vector<WakeEntry>& wake) const;
+  void CaptureAnchor(bool with_regs);
+  bool MatchesAnchor();
+  // Jumps whole periods from the current loop top, landing at least one
+  // period short of `limit`; true = it jumped.
+  bool FastForward(std::uint64_t period, std::uint64_t limit);
+  // Called at each main-loop top of a no-progress phase; true = it jumped.
+  bool ProbePeriod(std::uint64_t limit);
+
+  Snapshot ff_anchor_;
+  std::vector<WakeEntry> ff_wake_;  // the probe's wake entries
+  bool ff_anchored_ = false;
+  std::uint64_t ff_window_ = 0;    // Brent window: re-anchor after this
+  std::uint64_t ff_period_ = 0;    // period the register anchor must confirm
+  std::uint64_t ff_resume_ = 0;    // no probing before this cycle
+  std::uint64_t ff_progress_ = 0;  // last_progress_cycle_ the probe is for
+  std::uint64_t ff_skipped_ = 0;
 };
 
 }  // namespace capellini::sim

@@ -4,6 +4,7 @@
 // devices clean).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -19,6 +20,9 @@
 #include "matrix/triangular.h"
 #include "sim/config.h"
 #include "sim/fault.h"
+#include "sim/machine.h"
+#include "sim/memory.h"
+#include "trace/sink.h"
 
 namespace capellini {
 namespace fleet {
@@ -421,10 +425,12 @@ struct KillScenario {
   Solver solver{lower, SolverOptions{.device = sim::TinyTestDevice()}};
 
   Expected<FleetResult> Run(int devices, int victim, std::uint64_t seed = 77,
-                            bool recovery = true) {
+                            bool recovery = true,
+                            trace::TraceSink* sink = nullptr) {
     FleetConfig config = RecoveryFleetConfig(devices);
     config.recovery.enabled = recovery;
     DeviceFleet fleet(config);
+    for (int d = 0; d < devices; ++d) fleet.set_trace_sink(d, sink);
     sim::FaultPlan plan;
     plan.seed = seed;
     plan.drop_publish_rate = 1.0;
@@ -524,6 +530,140 @@ TEST(FleetRecoveryTest, ZeroFaultRunIsByteIdenticalWithRecoveryEnabled) {
   EXPECT_TRUE(BytesEqual(armed->x, plain));
   EXPECT_TRUE(armed->stats.failovers.empty());
   EXPECT_EQ(armed->stats.rows_reexecuted, 0u);
+}
+
+/// Counts the flag publishes a sink observes (one host thread drives the
+/// recovery fleet, so a plain counter is enough).
+class PublishCountSink : public trace::TraceSink {
+ public:
+  void OnPublish(const trace::PublishInfo&) override { ++publishes_; }
+  std::uint64_t publishes() const { return publishes_; }
+
+ private:
+  std::uint64_t publishes_ = 0;
+};
+
+void ExpectLaunchStatsEqual(const sim::LaunchStats& a,
+                            const sim::LaunchStats& b, int device) {
+  EXPECT_EQ(a.cycles, b.cycles) << "device " << device;
+  EXPECT_EQ(a.instructions, b.instructions) << "device " << device;
+  EXPECT_EQ(a.lane_instructions, b.lane_instructions) << "device " << device;
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes) << "device " << device;
+  EXPECT_EQ(a.dram_transactions, b.dram_transactions) << "device " << device;
+  EXPECT_EQ(a.issue_slots, b.issue_slots) << "device " << device;
+  EXPECT_EQ(a.issue_used, b.issue_used) << "device " << device;
+  EXPECT_EQ(a.stall_slots, b.stall_slots) << "device " << device;
+}
+
+/// Every simulated field of two FleetStats (host_ms is wall clock).
+void ExpectFleetStatsEqual(const FleetStats& a, const FleetStats& b) {
+  ASSERT_EQ(a.devices.size(), b.devices.size());
+  for (std::size_t d = 0; d < a.devices.size(); ++d) {
+    const DeviceStats& x = a.devices[d];
+    const DeviceStats& y = b.devices[d];
+    const int device = static_cast<int>(d);
+    EXPECT_EQ(x.status.ToString(), y.status.ToString()) << "device " << d;
+    ExpectLaunchStatsEqual(x.launch, y.launch, device);
+    EXPECT_EQ(x.cycles, y.cycles) << "device " << d;
+    EXPECT_EQ(x.exec_ms, y.exec_ms) << "device " << d;
+    EXPECT_EQ(x.in_messages, y.in_messages) << "device " << d;
+    EXPECT_EQ(x.out_messages, y.out_messages) << "device " << d;
+    EXPECT_EQ(x.comm_bytes_in, y.comm_bytes_in) << "device " << d;
+    EXPECT_EQ(x.comm_delay_cycles, y.comm_delay_cycles) << "device " << d;
+    EXPECT_EQ(x.last_arrival_cycle, y.last_arrival_cycle) << "device " << d;
+    EXPECT_EQ(x.boundary_stall_cycles, y.boundary_stall_cycles)
+        << "device " << d;
+    EXPECT_EQ(x.failed_over, y.failed_over) << "device " << d;
+    EXPECT_EQ(x.recovery_attempts, y.recovery_attempts) << "device " << d;
+    EXPECT_EQ(x.recovered_on, y.recovered_on) << "device " << d;
+  }
+  EXPECT_EQ(a.cross_edges, b.cross_edges);
+  EXPECT_EQ(a.total_messages, b.total_messages);
+  EXPECT_EQ(a.total_comm_bytes, b.total_comm_bytes);
+  EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
+  EXPECT_EQ(a.critical_device, b.critical_device);
+  EXPECT_EQ(a.exec_ms, b.exec_ms);
+  ASSERT_EQ(a.failovers.size(), b.failovers.size());
+  for (std::size_t i = 0; i < a.failovers.size(); ++i) {
+    EXPECT_EQ(a.failovers[i].device, b.failovers[i].device);
+    EXPECT_EQ(a.failovers[i].upstream_induced, b.failovers[i].upstream_induced);
+    EXPECT_EQ(a.failovers[i].attempts, b.failovers[i].attempts);
+    EXPECT_EQ(a.failovers[i].recovered_on, b.failovers[i].recovered_on);
+    EXPECT_EQ(a.failovers[i].verified, b.failovers[i].verified);
+    EXPECT_EQ(a.failovers[i].rows, b.failovers[i].rows);
+    EXPECT_EQ(a.failovers[i].residual, b.failovers[i].residual);
+  }
+  EXPECT_EQ(a.rows_reexecuted, b.rows_reexecuted);
+  EXPECT_EQ(a.host_rung_recoveries, b.host_rung_recoveries);
+  EXPECT_EQ(a.device_rung_recoveries, b.device_rung_recoveries);
+}
+
+TEST(FleetTest, CallerTraceSinkNeverChangesTheResult) {
+  // Partition launches record their flag publishes on the machine itself;
+  // a caller's sink only observes. With it, run fusion and the no-progress
+  // fast-forward stand down, so this also pins both to the exact path on a
+  // killed partition.
+  KillScenario scenario;
+  PublishCountSink sink;
+  auto bare = scenario.Run(4, /*victim=*/1);
+  auto traced = scenario.Run(4, /*victim=*/1, 77, true, &sink);
+  ASSERT_TRUE(bare.ok() && traced.ok());
+  EXPECT_TRUE(bare->status.ok()) << bare->status.ToString();
+  EXPECT_EQ(bare->status.ToString(), traced->status.ToString());
+  EXPECT_TRUE(BytesEqual(bare->x, traced->x));
+  ExpectFleetStatsEqual(bare->stats, traced->stats);
+  EXPECT_FALSE(bare->stats.failovers.empty());
+  EXPECT_GT(sink.publishes(), 0u);
+}
+
+TEST(FleetTest, RangePublishCyclesIgnoreTheCallerSink) {
+  // The per-row publish cycles a device hands its consumers, for a middle
+  // partition fed by remote arrivals, with and without a sink.
+  const Csr lower = TestMatrix();
+  const ReferenceProblem problem = MakeReferenceProblem(lower, 19);
+  const Idx begin = lower.rows() / 3;
+  const Idx end = 2 * lower.rows() / 3;
+  std::vector<kernels::RangeArrival> arrivals;
+  for (Idx r = begin; r < end; ++r) {
+    for (Idx j = lower.row_ptr()[static_cast<std::size_t>(r)];
+         j < lower.row_ptr()[static_cast<std::size_t>(r) + 1]; ++j) {
+      const Idx col = lower.col_idx()[static_cast<std::size_t>(j)];
+      if (col < begin) {
+        arrivals.push_back({col, problem.x_true[static_cast<std::size_t>(col)],
+                            500 + 7 * static_cast<std::uint64_t>(col)});
+      }
+    }
+  }
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const auto& a, const auto& b) { return a.row < b.row; });
+  arrivals.erase(std::unique(arrivals.begin(), arrivals.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.row == b.row;
+                             }),
+                 arrivals.end());
+  ASSERT_FALSE(arrivals.empty());
+
+  std::vector<std::vector<std::uint64_t>> cycles;
+  std::vector<std::vector<Val>> images;
+  PublishCountSink sink;
+  for (trace::TraceSink* attached : {static_cast<trace::TraceSink*>(nullptr),
+                                     static_cast<trace::TraceSink*>(&sink)}) {
+    sim::DeviceMemory memory;
+    sim::Machine machine(sim::TinyTestDevice(), &memory);
+    kernels::SolveOptions options;
+    options.trace_sink = attached;
+    auto range = kernels::SolveRangeOnDevice(
+        kernels::DeviceAlgorithm::kCapelliniWritingFirst, lower, problem.b,
+        begin, end, arrivals, machine, memory, options);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    cycles.push_back(range->publish_cycles);
+    images.push_back(range->x);
+  }
+  EXPECT_EQ(cycles[0], cycles[1]);
+  EXPECT_TRUE(BytesEqual(images[0], images[1]));
+  ASSERT_EQ(cycles[0].size(), static_cast<std::size_t>(end - begin));
+  for (const std::uint64_t cycle : cycles[0]) EXPECT_NE(cycle, UINT64_MAX);
+  EXPECT_EQ(sink.publishes(), static_cast<std::uint64_t>(end - begin));
 }
 
 TEST(FleetStatsTest, MakespanExcludesFailedDevices) {

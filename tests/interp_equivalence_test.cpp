@@ -21,6 +21,8 @@
 #include "gen/banded.h"
 #include "gen/level_structured.h"
 #include "gen/random_lower.h"
+#include "kernels/common.h"
+#include "kernels/launch.h"
 #include "matrix/triangular.h"
 #include "sim/config.h"
 #include "sim/disasm.h"
@@ -28,6 +30,7 @@
 #include "sim/isa.h"
 #include "sim/kernel.h"
 #include "sim/machine.h"
+#include "sim/memory.h"
 #include "trace/sink.h"
 
 namespace capellini {
@@ -308,6 +311,231 @@ TEST(InterpEquivalence, NaiveDeadlockIdenticalDump) {
   EXPECT_EQ(scalar.status().code(), StatusCode::kDeadlock);
   EXPECT_EQ(scalar.status().code(), threaded.status().code());
   EXPECT_EQ(scalar.status().message(), threaded.status().message());
+}
+
+// --- No-progress fast-forward ---------------------------------------------
+//
+// A deadlocked launch jumps whole periods of its frozen spin. Every case runs
+// the threaded core (fast-forward on) against the scalar oracle (always the
+// cycle-by-cycle path) on a caller-owned machine and demands the same status
+// text, counters, solution, publish cycles and fault counts; the machine's
+// skipped-cycle count shows whether the jump engaged.
+
+struct MachineRun {
+  Status status = Status::Ok();
+  std::uint64_t x_checksum = 0;
+  sim::LaunchStats stats;
+  std::vector<std::uint64_t> publish_cycles;
+  sim::FaultCounts faults;
+  std::uint64_t skipped = 0;
+};
+
+void ExpectMachineRunsEqual(const MachineRun& scalar,
+                            const MachineRun& threaded,
+                            const std::string& context) {
+  ASSERT_EQ(scalar.status.code(), threaded.status.code()) << context;
+  EXPECT_EQ(scalar.status.message(), threaded.status.message()) << context;
+  EXPECT_EQ(scalar.x_checksum, threaded.x_checksum) << context;
+  ExpectStatsEqual(scalar.stats, threaded.stats, context);
+  EXPECT_EQ(scalar.publish_cycles, threaded.publish_cycles) << context;
+  EXPECT_EQ(scalar.faults.injected, threaded.faults.injected) << context;
+  EXPECT_EQ(scalar.skipped, 0u) << context << ": the oracle never jumps";
+}
+
+/// The deadlocking naive kernel over `lower`, uploaded the way the solve
+/// drivers lay a CSR problem out.
+MachineRun RunNaive(const Csr& lower, const std::vector<Val>& b,
+                    const sim::DeviceConfig& device, bool scalar) {
+  sim::DeviceMemory memory;
+  sim::Machine machine(device, &memory);
+  const auto rows = static_cast<std::uint64_t>(lower.rows());
+  std::vector<std::int64_t> params(kernels::kNumParams, 0);
+  params[kernels::kParamM] = lower.rows();
+  const sim::DevicePtr row_ptr = memory.AllocArray<Idx>(rows + 1);
+  const sim::DevicePtr col_idx = memory.AllocArray<Idx>(lower.col_idx().size());
+  const sim::DevicePtr val = memory.AllocArray<Val>(lower.val().size());
+  const sim::DevicePtr rhs = memory.AllocArray<Val>(rows);
+  const sim::DevicePtr x = memory.AllocArray<Val>(rows);
+  const sim::DevicePtr flags = memory.AllocArray<std::int32_t>(rows);
+  memory.CopyToDevice(row_ptr, lower.row_ptr());
+  memory.CopyToDevice(col_idx, lower.col_idx());
+  memory.CopyToDevice(val, lower.val());
+  memory.CopyToDevice(rhs, std::span<const Val>(b));
+  memory.Fill(x, rows * sizeof(Val), 0);
+  memory.Fill(flags, rows * sizeof(std::int32_t), 0);
+  params[kernels::kParamRowPtr] = static_cast<std::int64_t>(row_ptr);
+  params[kernels::kParamColIdx] = static_cast<std::int64_t>(col_idx);
+  params[kernels::kParamVal] = static_cast<std::int64_t>(val);
+  params[kernels::kParamB] = static_cast<std::int64_t>(rhs);
+  params[kernels::kParamX] = static_cast<std::int64_t>(x);
+  params[kernels::kParamGetValue] = static_cast<std::int64_t>(flags);
+
+  static const sim::Kernel kernel = kernels::BuildCapelliniNaiveKernel();
+  ScopedScalarCore core(scalar);
+  auto stats = machine.Launch(
+      kernel, {.num_threads = lower.rows(), .threads_per_block = 64}, params);
+  MachineRun run;
+  run.skipped = machine.fast_forwarded_cycles();
+  if (!stats.ok()) {
+    run.status = stats.status();
+    return run;
+  }
+  run.stats = *stats;
+  return run;
+}
+
+/// The Writing-First range kernel over rows [row_begin, rows), as a fleet
+/// device runs it.
+MachineRun RunRange(const Csr& lower, const std::vector<Val>& b,
+                    Idx row_begin,
+                    const std::vector<kernels::RangeArrival>& arrivals,
+                    const sim::DeviceConfig& device, bool scalar,
+                    const sim::FaultPlan& plan = {},
+                    trace::TraceSink* sink = nullptr) {
+  sim::DeviceMemory memory;
+  sim::Machine machine(device, &memory);
+  sim::FaultInjector injector(plan);
+  kernels::SolveOptions options;
+  options.trace_sink = sink;
+  options.fault_injector = plan.Enabled() ? &injector : nullptr;
+  ScopedScalarCore core(scalar);
+  auto result = kernels::SolveRangeOnDevice(
+      kernels::DeviceAlgorithm::kCapelliniWritingFirst, lower, b, row_begin,
+      lower.rows(), arrivals, machine, memory, options);
+  MachineRun run;
+  run.faults = injector.counts();
+  run.skipped = machine.fast_forwarded_cycles();
+  if (!result.ok()) {
+    run.status = result.status();
+    return run;
+  }
+  run.x_checksum = FnvChecksum(result->x);
+  run.stats = result->stats;
+  run.publish_cycles = result->publish_cycles;
+  return run;
+}
+
+sim::DeviceConfig WatchdogDevice(std::uint64_t no_progress_cycles) {
+  sim::DeviceConfig device = sim::TinyTestDevice();
+  device.no_progress_cycles = no_progress_cycles;
+  return device;
+}
+
+/// The fleet's failure mode: a chain whose every flag publish is dropped.
+sim::FaultPlan DropEveryPublish() {
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.drop_publish_rate = 1.0;
+  return plan;
+}
+
+Csr ChainMatrix() {
+  return MakeBanded({.rows = 256, .bandwidth = 4, .fill = 0.8, .seed = 3});
+}
+
+TEST(FastForward, NaiveDeadlockDumpMatchesOracle) {
+  const Csr chain = MakeBidiagonal(96);
+  const std::vector<Val> b = MakeB(chain.rows());
+  const sim::DeviceConfig device = WatchdogDevice(30'000);
+  const MachineRun scalar = RunNaive(chain, b, device, true);
+  const MachineRun threaded = RunNaive(chain, b, device, false);
+  EXPECT_EQ(scalar.status.code(), StatusCode::kDeadlock);
+  ExpectMachineRunsEqual(scalar, threaded, "naive");
+  EXPECT_GT(threaded.skipped, 0u);
+}
+
+TEST(FastForward, DroppedPublishDeadlockMatchesOracle) {
+  const Csr lower = ChainMatrix();
+  const std::vector<Val> b = MakeB(lower.rows());
+  const sim::DeviceConfig device = WatchdogDevice(30'000);
+  const MachineRun scalar =
+      RunRange(lower, b, 0, {}, device, true, DropEveryPublish());
+  const MachineRun threaded =
+      RunRange(lower, b, 0, {}, device, false, DropEveryPublish());
+  EXPECT_EQ(scalar.status.code(), StatusCode::kDeadlock);
+  EXPECT_GT(scalar.faults.total(), 0u);
+  ExpectMachineRunsEqual(scalar, threaded, "writing-first, drops");
+  EXPECT_GT(threaded.skipped, 0u);
+}
+
+TEST(FastForward, TripWindowAcrossTwoToTheTwentyMatchesOracle) {
+  // The watchdog trips past 2^20: every binade on the way needs its own
+  // period detection, and the busy-until doubles must round as in the
+  // cycle-by-cycle run on both sides of each power of two.
+  const Csr chain = MakeBidiagonal(96);
+  const std::vector<Val> b = MakeB(chain.rows());
+  const sim::DeviceConfig device = WatchdogDevice(1'100'000);
+  const MachineRun scalar = RunNaive(chain, b, device, true);
+  const MachineRun threaded = RunNaive(chain, b, device, false);
+  EXPECT_EQ(scalar.status.code(), StatusCode::kDeadlock);
+  ExpectMachineRunsEqual(scalar, threaded, "naive, 2^20");
+  EXPECT_GT(threaded.skipped, 1'000'000u);
+
+  // A busier spin: every warp of the chain polls, so the L2 queue carries a
+  // fractional backlog across the loop tops.
+  const Csr lower = ChainMatrix();
+  const std::vector<Val> rhs = MakeB(lower.rows());
+  const MachineRun scalar_wf =
+      RunRange(lower, rhs, 0, {}, device, true, DropEveryPublish());
+  const MachineRun threaded_wf =
+      RunRange(lower, rhs, 0, {}, device, false, DropEveryPublish());
+  EXPECT_EQ(scalar_wf.status.code(), StatusCode::kDeadlock);
+  ExpectMachineRunsEqual(scalar_wf, threaded_wf, "writing-first, 2^20");
+  EXPECT_GT(threaded_wf.skipped, 1'000'000u);
+}
+
+TEST(FastForward, PendingArrivalsStopTheJumpAndTheLaunchCompletes) {
+  // Rows of the upper half spin on remote flags that arrive long after the
+  // last local progress. The jump must land before the arrival, and the
+  // counters of the completed launch must include the skipped periods.
+  const Csr lower = ChainMatrix();
+  const ReferenceProblem problem = MakeReferenceProblem(lower, 9);
+  const Idx row_begin = lower.rows() / 2;
+  std::vector<kernels::RangeArrival> arrivals;
+  for (Idx row = row_begin - 4; row < row_begin; ++row) {
+    arrivals.push_back({row, problem.x_true[static_cast<std::size_t>(row)],
+                        250'000u + 1'000u * static_cast<std::uint64_t>(row)});
+  }
+  const sim::DeviceConfig device = WatchdogDevice(30'000);
+  const MachineRun scalar =
+      RunRange(lower, problem.b, row_begin, arrivals, device, true);
+  const MachineRun threaded =
+      RunRange(lower, problem.b, row_begin, arrivals, device, false);
+  ASSERT_TRUE(scalar.status.ok()) << scalar.status.ToString();
+  EXPECT_GT(scalar.stats.cycles, 250'000u);
+  ExpectMachineRunsEqual(scalar, threaded, "pending arrivals");
+  EXPECT_GT(threaded.skipped, 0u);
+}
+
+TEST(FastForward, StandsDownForSinksAndPerIssueFaults) {
+  const Csr lower = ChainMatrix();
+  const std::vector<Val> b = MakeB(lower.rows());
+  const sim::DeviceConfig device = WatchdogDevice(30'000);
+  {
+    HistogramSink scalar_sink;
+    HistogramSink threaded_sink;
+    const MachineRun scalar = RunRange(lower, b, 0, {}, device, true,
+                                       DropEveryPublish(), &scalar_sink);
+    const MachineRun threaded = RunRange(lower, b, 0, {}, device, false,
+                                         DropEveryPublish(), &threaded_sink);
+    ExpectMachineRunsEqual(scalar, threaded, "sink attached");
+    EXPECT_EQ(threaded.skipped, 0u);
+    EXPECT_EQ(scalar_sink.stream_key(), threaded_sink.stream_key());
+  }
+  sim::FaultPlan stuck = DropEveryPublish();
+  stuck.stuck_warp_rate = 0.001;
+  stuck.stuck_cycles = 40;
+  sim::FaultPlan delayed = DropEveryPublish();
+  delayed.mem_delay_rate = 0.01;
+  delayed.mem_delay_cycles = 25;
+  for (const auto& [name, plan] :
+       {std::pair{"stuck warps", stuck}, std::pair{"mem delay", delayed}}) {
+    const MachineRun scalar = RunRange(lower, b, 0, {}, device, true, plan);
+    const MachineRun threaded = RunRange(lower, b, 0, {}, device, false, plan);
+    EXPECT_EQ(scalar.status.code(), StatusCode::kDeadlock) << name;
+    ExpectMachineRunsEqual(scalar, threaded, name);
+    EXPECT_EQ(threaded.skipped, 0u) << name;
+  }
 }
 
 // --- Predecode plumbing units -------------------------------------------

@@ -13,12 +13,14 @@
 #include "core/solver.h"
 #include "gen/banded.h"
 #include "gen/level_structured.h"
+#include "host/serial.h"
 #include "sim/fault.h"
 #include "matrix/convert.h"
 #include "matrix/triangular.h"
 #include "serve/registry.h"
 #include "serve/replay.h"
 #include "serve/service.h"
+#include "update/delta.h"
 
 namespace capellini::serve {
 namespace {
@@ -216,6 +218,48 @@ TEST(ServiceTest, CoalescesSameHandleRequestsIntoOneLaunch) {
   ASSERT_EQ(occupancy.size(), 4u);
   EXPECT_EQ(occupancy[0], 1u);  // the leftover solo
   EXPECT_EQ(occupancy[3], 1u);  // the coalesced four
+}
+
+TEST(ServiceTest, CoalescingNeverCrossesAnUpdateEpoch) {
+  // queue, update, queue, start: both requests share a handle and an
+  // algorithm, but each pinned its own epoch at Submit, so they must not
+  // share one launch on the leader's pre-update matrix.
+  MatrixRegistry registry;
+  auto handle = registry.Register(TestMatrix(64), "m64", TinyOptions());
+  ASSERT_TRUE(handle.ok());
+  SolveService service(&registry,
+                       ServiceOptions{.workers = 1,
+                                      .max_batch = 4,
+                                      .start_paused = true});
+  const Csr before = (*registry.Acquire(*handle))->solver.matrix();
+  const update::DeltaBatch batch =
+      update::MakeRandomBatch(before, 6, /*structural=*/false, 5);
+  auto after = update::ApplyToMatrix(before, batch);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  const ReferenceProblem problem = MakeReferenceProblem(before, 71);
+  RequestOptions capellini;
+  capellini.algorithm = Algorithm::kCapellini;
+
+  auto first = service.Submit(*handle, problem.b, capellini);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(service.ApplyDelta(*handle, batch).ok());
+  auto second = service.Submit(*handle, problem.b, capellini);
+  ASSERT_TRUE(second.ok());
+  service.Start();
+
+  const ServeResult pre = first->get();
+  const ServeResult post = second->get();
+  ASSERT_TRUE(pre.status.ok()) << pre.status.ToString();
+  ASSERT_TRUE(post.status.ok()) << post.status.ToString();
+  EXPECT_EQ(pre.batch_size, 1);
+  EXPECT_EQ(post.batch_size, 1);
+  EXPECT_LE(MaxRelativeError(pre.solve.x, problem.x_true), 1e-10);
+  std::vector<Val> want(problem.b.size());
+  ASSERT_TRUE(host::SolveSerial(*after, problem.b, want).ok());
+  EXPECT_LE(MaxRelativeError(post.solve.x, want), 1e-10);
+  EXPECT_GT(MaxRelativeError(post.solve.x, problem.x_true), 1e-6)
+      << "the update must change the solution for this test to bite";
+  service.Shutdown();
 }
 
 TEST(ServiceTest, BatchesUpperSystemSolvesThroughReversedRegistration) {
