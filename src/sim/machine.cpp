@@ -1906,7 +1906,9 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
       return DeadlockError(dump);
     }
     if (fast_forward && cycle_ - last_progress_cycle_ >= kFastForwardAfter) {
-      const std::uint64_t trip =
+      // The first event a period cannot foresee: the next arrival (the
+      // watchdog waits for it), else the watchdog trip; and max_cycles.
+      const std::uint64_t next_event =
           ext_next_ < ext_.size()
               ? ext_[ext_next_].cycle
               : last_progress_cycle_ +
@@ -1914,7 +1916,7 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
                              std::numeric_limits<std::uint64_t>::max() -
                                  last_progress_cycle_);
       // A jump lands on a loop top of the cycle-by-cycle run: re-check it.
-      if (ProbePeriod(std::min(trip, config_.max_cycles))) continue;
+      if (ProbePeriod(std::min(next_event, config_.max_cycles))) continue;
     }
 
     // Far-parked warps whose wake time entered the wheel horizon.
